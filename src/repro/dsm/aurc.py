@@ -111,7 +111,7 @@ class AurcStats:
 class AurcPage:
     """One node's view of one page under AURC."""
 
-    __slots__ = ("page", "words", "frame", "notified", "applied",
+    __slots__ = ("page", "words", "frame", "notified", "applied", "stale",
                  "pending_stamps", "partner", "referenced",
                  "prefetch_event", "prefetch_issued_at", "prefetch_ready",
                  "audit")
@@ -127,6 +127,8 @@ class AurcPage:
         # order must match the dicts these replaced bit-for-bit).
         self.notified = NodeIntMap()
         self.applied = NodeIntMap()
+        # Bit w set <=> notified[w] > applied[w] (see TmPage.stale).
+        self.stale = 0
         # writer -> (interval_id, dst, seq) of the newest pending notice.
         # Stays a real dict: entries are deleted as stamps are covered,
         # so it self-prunes to the handful of in-flight writers.
@@ -147,19 +149,22 @@ class AurcPage:
         return self.frame
 
     def pending_writers(self) -> List[int]:
-        return [w for w, notice in self.notified.items()
-                if notice > self.applied.get(w, 0)]
+        stale = self.stale
+        return [w for w in self.notified if (stale >> w) & 1]
 
     def is_valid(self) -> bool:
-        return self.has_frame and not self.pending_writers()
+        return self.frame is not None and not self.stale
 
     def record_notice(self, writer: int, interval_id: int, dst: int,
                       seq: int) -> bool:
-        was_valid = self.is_valid()
+        newly_invalid = False
         if interval_id > self.notified.get(writer, 0):
             self.notified[writer] = interval_id
             self.pending_stamps[writer] = (interval_id, dst, seq)
-        newly_invalid = was_valid and not self.is_valid()
+            if (not (self.stale >> writer) & 1
+                    and interval_id > self.applied.get(writer, 0)):
+                newly_invalid = self.frame is not None and not self.stale
+                self.stale |= 1 << writer
         if self.audit is not None:
             self.audit.aurc_notice(self.page, writer, interval_id,
                                    dst, seq, newly_invalid)
@@ -168,6 +173,9 @@ class AurcPage:
     def mark_applied(self, writer: int, through_id: int) -> None:
         if through_id > self.applied.get(writer, 0):
             self.applied[writer] = through_id
+            if ((self.stale >> writer) & 1
+                    and through_id >= self.notified.get(writer, 0)):
+                self.stale &= ~(1 << writer)
             if self.audit is not None:
                 self.audit.applied_through(self.page, writer, through_id)
 
@@ -177,6 +185,7 @@ class AurcPage:
     def state_nbytes(self) -> int:
         """Bytes of coherence metadata (excludes the data frame)."""
         return (self.applied.nbytes() + self.notified.nbytes()
+                + sys.getsizeof(self.stale)
                 + sys.getsizeof(self.pending_stamps))
 
     def state_dict_equiv_nbytes(self) -> int:

@@ -15,10 +15,15 @@ iterates exactly like the dict it replaces (first-insertion order,
 updates in place), which is what keeps the 18 golden configs
 bit-identical.
 
-Lookups scan the id column linearly.  Entry counts are sharer/writer
-degrees per page -- typically a handful even on 1024-node machines --
-so the scan is cheaper in practice than dict hashing was, and the
-``mask`` answers the hot ``in`` checks without touching the columns.
+Lookups scan the id column linearly (``array.index``), and the ``mask``
+answers ``in`` checks without touching the columns.  Maps are not
+always small: on Em3d every page's ``notified`` map holds one entry per
+other node (15, 63 and 255 at 16, 64 and 256 nodes).  The pages answer
+validity from a stale-writer bitmask instead of these maps, so what
+stays flat is the number of lookups: a merged write notice costs
+4.0-4.6 ``get`` calls at any node count (Em3d, 512 graph nodes,
+TreadMarks I+D and AURC, 16-256 nodes), though each call still scans
+up to one entry per node.
 """
 
 from __future__ import annotations

@@ -6,19 +6,23 @@ Each node tracks, for every shared page it has touched:
 * per-writer **applied**/**notified** interval watermarks.  A write
   notice (w, i) is *pending* while ``notified[w] > applied[w]``; a page
   is valid only when it has a frame and no pending notices;
+* the **stale** bitmask: bit w is set exactly when
+  ``notified[w] > applied[w]``, kept up to date by the only two methods
+  that move a watermark (``record_notice`` and ``mark_applied``);
 * write-collection state: the **twin** flag and the **dirty mask** (the
   bit vector of words written since the last diff creation), plus the
   list of completed-but-undiffed interval ids;
 * the **diff store** of already-created diffs (reused across requesters);
 * prefetch bookkeeping (referenced flag, in-flight event).
 
-The watermark representation keeps validity checks O(sharers) and makes
-"which diffs do I still need" a per-writer range query, matching how
-TreadMarks walks its write-notice lists.
+The stale mask makes validity checks O(1) at any node count, and the
+watermarks make "which diffs do I still need" a per-writer range query,
+matching how TreadMarks walks its write-notice lists.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -33,9 +37,9 @@ class TmPage:
     """One node's view of one shared page (TreadMarks)."""
 
     __slots__ = (
-        "page", "words", "frame", "applied", "notified", "write_active",
-        "has_twin", "dirty_mask", "last_closed_id", "diff_store",
-        "unmaterialized", "referenced", "prefetch_event",
+        "page", "words", "frame", "applied", "notified", "stale",
+        "write_active", "has_twin", "dirty_mask", "last_closed_id",
+        "diff_store", "unmaterialized", "referenced", "prefetch_event",
         "prefetch_issued_at", "prefetch_ready", "pf_useless_streak",
         "copyset", "audit",
     )
@@ -53,6 +57,9 @@ class TmPage:
         # issue order, which the golden cycle fixtures pin).
         self.applied = NodeIntMap()
         self.notified = NodeIntMap()
+        # Bit w set <=> notified[w] > applied[w] (writer w's notices are
+        # not yet covered by applied diffs).
+        self.stale = 0
         # -- write collection (this node as writer) -----------------------
         self.write_active = False      # twin made / bit vector armed
         self.has_twin = False
@@ -85,12 +92,13 @@ class TmPage:
         return self.frame is not None
 
     def pending_writers(self) -> List[int]:
-        """Writers whose notices have not been covered by applied diffs."""
-        return [w for w, notice in self.notified.items()
-                if notice > self.applied.get(w, 0)]
+        """Writers whose notices have not been covered by applied diffs,
+        in notice-arrival order."""
+        stale = self.stale
+        return [w for w in self.notified if (stale >> w) & 1]
 
     def is_valid(self) -> bool:
-        return self.has_frame and not self.pending_writers()
+        return self.frame is not None and not self.stale
 
     def ensure_frame(self) -> np.ndarray:
         if self.frame is None:
@@ -101,10 +109,13 @@ class TmPage:
 
     def record_notice(self, writer: int, interval_id: int) -> bool:
         """Merge a write notice; returns True if it newly invalidated."""
-        was_valid = self.is_valid()
+        newly_invalid = False
         if interval_id > self.notified.get(writer, 0):
             self.notified[writer] = interval_id
-        newly_invalid = was_valid and not self.is_valid()
+            if (not (self.stale >> writer) & 1
+                    and interval_id > self.applied.get(writer, 0)):
+                newly_invalid = self.frame is not None and not self.stale
+                self.stale |= 1 << writer
         if self.audit is not None:
             self.audit.notice(self.page, writer, interval_id,
                               newly_invalid)
@@ -113,6 +124,9 @@ class TmPage:
     def mark_applied(self, writer: int, through_id: int) -> None:
         if through_id > self.applied.get(writer, 0):
             self.applied[writer] = through_id
+            if ((self.stale >> writer) & 1
+                    and through_id >= self.notified.get(writer, 0)):
+                self.stale &= ~(1 << writer)
             if self.audit is not None:
                 self.audit.applied_through(self.page, writer, through_id)
 
@@ -225,7 +239,7 @@ class TmPage:
         the data frame and diff payloads -- those scale with the app,
         not the machine size)."""
         return (self.applied.nbytes() + self.notified.nbytes()
-                + self.copyset.nbytes())
+                + sys.getsizeof(self.stale) + self.copyset.nbytes())
 
     def state_dict_equiv_nbytes(self) -> int:
         """Bytes the pre-compaction dict representation would cost."""

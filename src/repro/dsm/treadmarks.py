@@ -411,7 +411,7 @@ class TreadMarks(DsmProtocol):
             applied = tp.applied.get(diff.writer, 0)
             if diff.to_id <= applied or diff.from_id > applied:
                 continue  # stale, or a gap in the interval chain
-            if any(w != diff.writer for w in tp.pending_writers()):
+            if tp.stale & ~(1 << diff.writer):
                 # Another writer's hb-earlier intervals are still
                 # unapplied; applying this diff now and theirs later
                 # would roll shared words backwards.  Let the demand

@@ -30,8 +30,9 @@ __all__ = ["SCALE_NODE_COUNTS", "SCALE_PROTOCOLS", "SCALE_SIZES",
            "REGRESSION_SCALE_CELLS", "scale_sizes", "scale_request",
            "scale_matrix", "regression_scale_rows", "audit_scale_run"]
 
-# Default sweep points: 64 and 256 every time; 1024 is the smoke point
-# callers opt into explicitly (repro scale --nodes 1024).
+# Default sweep points: 64 and 256 every time; 1024 is opt-in
+# (repro scale --nodes 1024), and CI's scale-smoke job runs its AURC
+# cell.
 SCALE_NODE_COUNTS: Tuple[int, ...] = (64, 256)
 
 # The figure 13-16 protagonists plus the full overlap pipeline.
@@ -155,8 +156,8 @@ def scale_matrix(node_counts: Sequence[int] = SCALE_NODE_COUNTS,
 # regenerated by CI's regression gate on every push).  Chosen to cover
 # every axis -- node count, topology, machine preset, protocol family --
 # while staying affordable: the 256-node cells dominate at ~1 min
-# total, and the 1024-node smoke point stays CLI-only
-# (``repro scale --nodes 1024``).
+# total.  The 1024-node AURC cell is gated by CI's scale-smoke job
+# instead of being archived here.
 REGRESSION_SCALE_CELLS: Tuple[Tuple[int, str, str, str], ...] = (
     (64, "I+D", "mesh", "paper1996"),
     (64, "I+P+D", "mesh", "paper1996"),
