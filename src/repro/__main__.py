@@ -90,26 +90,6 @@ Commands
     ``--tax`` also measures the telemetry on-vs-off overhead.
     Exits 0 clean / 1 regression / 2 unusable input.
 
-``serve``
-    Run the simulation-as-a-service HTTP API: an asyncio front end
-    that accepts run/sweep submissions, dedupes them against the
-    sharded result store and in-flight jobs, schedules misses on a
-    bounded worker pool behind per-tenant token-bucket admission
-    control (429 on quota breach, 503 on queue saturation), streams
-    job events as NDJSON, and evicts the store to a size/age budget.
-
-``submit APP``
-    Submit a run (or, with ``--protocols``/``--sweep``, a sweep) to a
-    ``repro serve`` endpoint and print the ``repro-serve/1`` job
-    document; ``--wait`` streams events until the job completes.
-
-``status JOB_ID``
-    Fetch one job document from a serve endpoint.
-
-``watch-job JOB_ID``
-    Stream a job's NDJSON events to stdout until it reaches a
-    terminal state.
-
 ``metrics FILE``
     Summarize a JSON run report written by ``run --metrics``.
 
@@ -150,13 +130,6 @@ Examples::
     python -m repro diff golden:Em3d/TM/I+P+D/4p/quick em3d-metrics.json
     python -m repro regress --candidate BENCH_pr6.json \\
         --history benchmarks/BENCH_*.json
-    python -m repro serve --port 8642 --workers 4
-    python -m repro submit Em3d --protocol I+P+D --quick --procs 4 \\
-        --server http://127.0.0.1:8642 --wait
-    python -m repro submit Em3d --protocols Base I+D I+P+D --quick \\
-        --server http://127.0.0.1:8642
-    python -m repro status JOB_ID --server http://127.0.0.1:8642
-    python -m repro watch-job JOB_ID --server http://127.0.0.1:8642
     python -m repro metrics /tmp/em3d-metrics.json
     python -m repro trace /tmp/em3d.json --category fault --limit 20
     python -m repro validate BENCH_pr4.json /tmp/em3d-metrics.json
@@ -196,6 +169,22 @@ def _add_sweep_flags(parser, default_jobs) -> None:
 def _make_runner(args) -> SweepRunner:
     cache = None if args.no_cache else ResultCache()
     return SweepRunner(jobs=args.jobs, cache=cache)
+
+
+def _protocol_name(name: str) -> str:
+    """``--protocol`` argument type: an overlap mode name or ``aurc``."""
+    if name.lower() == "aurc" or name in {m.name for m in ALL_MODES}:
+        return name
+    raise argparse.ArgumentTypeError(
+        f"unknown protocol {name!r}; choose from "
+        f"{', '.join(m.name for m in ALL_MODES)} or aurc")
+
+
+def _protocol_config(args) -> ProtocolConfig:
+    """The configuration named by ``--protocol`` (and ``--prefetch``)."""
+    if args.protocol.lower() == "aurc":
+        return ProtocolConfig.aurc(prefetch=args.prefetch)
+    return ProtocolConfig.treadmarks(args.protocol)
 
 
 def _add_telemetry_flags(parser) -> None:
@@ -245,7 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="simulate one application")
     run_p.add_argument("app", choices=experiments.APP_ORDER)
-    run_p.add_argument("--protocol", default="Base",
+    run_p.add_argument("--protocol", type=_protocol_name,
+                       default="Base",
                        help="an overlap mode (Base, I, I+D, P, I+P, "
                             "I+P+D) or 'aurc'")
     run_p.add_argument("--prefetch", action="store_true",
@@ -342,7 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile",
         help="self-profile one simulation (events/sec + cProfile top-N)")
     prof_p.add_argument("app", choices=experiments.APP_ORDER)
-    prof_p.add_argument("--protocol", default="I+P+D",
+    prof_p.add_argument("--protocol", type=_protocol_name,
+                        default="I+P+D",
                         help="an overlap mode (Base, I, I+D, P, I+P, "
                              "I+P+D) or 'aurc' (default: I+P+D)")
     prof_p.add_argument("--prefetch", action="store_true",
@@ -367,7 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="run one application and print the causal span analysis")
     an_p.add_argument("app", choices=experiments.APP_ORDER)
-    an_p.add_argument("--protocol", default="I+P+D",
+    an_p.add_argument("--protocol", type=_protocol_name,
+                      default="I+P+D",
                       help="an overlap mode (Base, I, I+D, P, I+P, "
                            "I+P+D) or 'aurc' (default: I+P+D)")
     an_p.add_argument("--prefetch", action="store_true",
@@ -392,7 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ins_p.add_argument("source", nargs="?", default=None,
                        help="application to run with auditing, or a "
                             "saved repro-inspect/1 JSON file")
-    ins_p.add_argument("--protocol", default="I+P+D",
+    ins_p.add_argument("--protocol", type=_protocol_name,
+                       default="I+P+D",
                        help="an overlap mode (Base, I, I+D, P, I+P, "
                             "I+P+D) or 'aurc' (default: I+P+D)")
     ins_p.add_argument("--prefetch", action="store_true",
@@ -494,107 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reg_p.add_argument("--json", metavar="FILE", default=None,
                        help="write the repro-regress/1 report to FILE")
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the simulation-as-a-service HTTP API")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8642,
-                         help="TCP port (0 = ephemeral; default: 8642)")
-    serve_p.add_argument("--workers", type=int,
-                         default=max(2, (os.cpu_count() or 2) // 2),
-                         help="simulation worker processes")
-    serve_p.add_argument("--job-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-job wall-clock timeout (default: "
-                              "none)")
-    serve_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="result store root ($REPRO_CACHE_DIR or "
-                              "~/.cache/repro)")
-    serve_p.add_argument("--no-cache", action="store_true",
-                         help="serve without the on-disk result store "
-                              "(in-memory dedupe only)")
-    serve_p.add_argument("--quota-rate", type=float, default=20.0,
-                         help="default tenant token-bucket refill "
-                              "rate, runs/second (default: 20)")
-    serve_p.add_argument("--quota-burst", type=float, default=40.0,
-                         help="default tenant token-bucket capacity "
-                              "(default: 40)")
-    serve_p.add_argument("--tenant-quota", action="append", default=[],
-                         metavar="TENANT=RATE[:BURST]",
-                         help="per-tenant quota override (repeatable)")
-    serve_p.add_argument("--max-queue", type=int, default=256,
-                         help="global queued-job bound; submissions "
-                              "beyond it get 503 (default: 256)")
-    serve_p.add_argument("--cache-max-bytes", type=int, default=None,
-                         help="evict the store down to this many "
-                              "bytes")
-    serve_p.add_argument("--cache-max-entries", type=int, default=None,
-                         help="evict the store down to this many "
-                              "entries")
-    serve_p.add_argument("--cache-max-age", type=float, default=None,
-                         metavar="SECONDS",
-                         help="evict entries idle longer than this")
-    serve_p.add_argument("--cache-floor", type=float, default=60.0,
-                         metavar="SECONDS",
-                         help="never evict entries used more recently "
-                              "than this (default: 60)")
-    serve_p.add_argument("--evict-every", type=int, default=32,
-                         help="run the eviction pass every N store "
-                              "writes (default: 32)")
-    serve_p.add_argument("--port-file", default=None, metavar="FILE",
-                         help="write 'host port' to FILE once bound "
-                              "(for CI and scripts)")
-
-    def _add_client_flags(parser) -> None:
-        parser.add_argument("--server", metavar="URL",
-                            default=os.environ.get("REPRO_SERVE_URL",
-                                                   ""),
-                            help="serve endpoint (default: "
-                                 "$REPRO_SERVE_URL or "
-                                 "http://127.0.0.1:8642)")
-        parser.add_argument("--tenant", default="anon",
-                            help="tenant identity sent as "
-                                 "X-Repro-Tenant (default: anon)")
-        parser.add_argument("--json", metavar="FILE", default=None,
-                            help="write the repro-serve/1 job "
-                                 "document to FILE")
-
-    sm_p = sub.add_parser(
-        "submit", help="submit a run or sweep to a serve endpoint")
-    sm_p.add_argument("app", nargs="?", choices=experiments.APP_ORDER,
-                      help="application (omit only with --sweep FILE)")
-    sm_p.add_argument("--protocol", default="Base",
-                      help="an overlap mode or 'aurc' (default: Base)")
-    sm_p.add_argument("--protocols", nargs="+", default=None,
-                      metavar="PROTO",
-                      help="submit one sweep over these protocols "
-                           "instead of a single run")
-    sm_p.add_argument("--procs", type=int, default=4)
-    sm_p.add_argument("--quick", action="store_true",
-                      help="reduced problem size")
-    sm_p.add_argument("--prefetch", action="store_true",
-                      help="AURC only: enable page prefetching")
-    sm_p.add_argument("--verify", action="store_true",
-                      help="run the result-verification epilogue")
-    sm_p.add_argument("--sweep", metavar="FILE", default=None,
-                      help="submit a sweep from a JSON file (a list "
-                           "of run specs, or {\"runs\": [...]})")
-    sm_p.add_argument("--wait", action="store_true",
-                      help="stream events until the job completes and "
-                           "exit nonzero if it failed")
-    _add_client_flags(sm_p)
-
-    st_p = sub.add_parser(
-        "status", help="fetch one job document from a serve endpoint")
-    st_p.add_argument("job_id")
-    _add_client_flags(st_p)
-
-    wj_p = sub.add_parser(
-        "watch-job",
-        help="stream a job's events from a serve endpoint")
-    wj_p.add_argument("job_id")
-    _add_client_flags(wj_p)
-
     met_p = sub.add_parser("metrics",
                            help="summarize a JSON run report")
     met_p.add_argument("file", help="report written by run --metrics")
@@ -646,10 +538,7 @@ def _print_fault_summary(stats) -> None:
 
 
 def _cmd_run(args) -> int:
-    if args.protocol.lower() == "aurc":
-        config = ProtocolConfig.aurc(prefetch=args.prefetch)
-    else:
-        config = ProtocolConfig.treadmarks(args.protocol)
+    config = _protocol_config(args)
     plan = _load_fault_plan(args)
     if args.trace is None and args.metrics is None and plan is None \
             and not args.audit:
@@ -727,10 +616,7 @@ def _cmd_profile(args) -> int:
     import pstats
     import time
 
-    if args.protocol.lower() == "aurc":
-        config = ProtocolConfig.aurc(prefetch=args.prefetch)
-    else:
-        config = ProtocolConfig.treadmarks(args.protocol)
+    config = _protocol_config(args)
     verify = not args.no_verify
 
     def make_app():
@@ -781,10 +667,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.protocol.lower() == "aurc":
-        config = ProtocolConfig.aurc(prefetch=args.prefetch)
-    else:
-        config = ProtocolConfig.treadmarks(args.protocol)
+    config = _protocol_config(args)
     app = experiments.scaled_app(args.app, args.procs, quick=args.quick)
     from repro.sim.trace import Tracer
     tracer = Tracer(None, limit=2_000_000)
@@ -834,13 +717,9 @@ def _inspect_doc_for(spec, args):
     from repro.stats.coherence import INSPECT_SCHEMA, build_inspect_doc
 
     if spec in experiments.APP_ORDER:
-        if args.protocol.lower() == "aurc":
-            config = ProtocolConfig.aurc(prefetch=args.prefetch)
-        else:
-            config = ProtocolConfig.treadmarks(args.protocol)
         app = experiments.scaled_app(spec, args.procs,
                                      quick=args.quick)
-        result = run_app(app, config, audit=True)
+        result = run_app(app, _protocol_config(args), audit=True)
         return build_inspect_doc(result, result.audit)
     with open(spec) as fh:
         doc = json.load(fh)
@@ -1339,168 +1218,6 @@ def _cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.harness.parallel import EvictionPolicy
-    from repro.serve import QuotaConfig, ServeConfig, run_server
-
-    tenant_quotas = {}
-    for spec in args.tenant_quota:
-        tenant, _, quota = spec.partition("=")
-        if not tenant or not quota:
-            print(f"error: bad --tenant-quota {spec!r} "
-                  "(expected TENANT=RATE[:BURST])", file=sys.stderr)
-            return 2
-        try:
-            tenant_quotas[tenant] = QuotaConfig.parse(quota)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    eviction = EvictionPolicy(
-        max_bytes=args.cache_max_bytes,
-        max_entries=args.cache_max_entries,
-        max_age_seconds=args.cache_max_age,
-        floor_seconds=args.cache_floor,
-    )
-    config = ServeConfig(
-        host=args.host, port=args.port, workers=args.workers,
-        job_timeout=args.job_timeout, cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        quota=QuotaConfig(rate=args.quota_rate,
-                          burst=args.quota_burst),
-        tenant_quotas=tenant_quotas,
-        max_queue_depth=args.max_queue,
-        eviction=eviction, evict_every=args.evict_every,
-    )
-
-    def ready(host: str, port: int) -> None:
-        print(f"repro serve listening on http://{host}:{port} "
-              f"({args.workers} workers)")
-        sys.stdout.flush()
-
-    try:
-        run_server(config, ready=ready, port_file=args.port_file)
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _serve_client(args):
-    from repro.serve import DEFAULT_URL, ServeClient
-
-    return ServeClient(url=args.server or DEFAULT_URL,
-                       tenant=args.tenant)
-
-
-def _print_job_line(doc: dict) -> None:
-    job = doc.get("job", {})
-    line = (f"{job.get('id')} state={job.get('state')} "
-            f"dedupe={job.get('dedupe') or 'none'}")
-    if job.get("kind") == "sweep":
-        line += f" members={len(job.get('members', []))}"
-    print(line)
-
-
-def _write_job_doc(doc: dict, path) -> None:
-    if path:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
-
-
-def _cmd_submit(args) -> int:
-    from repro.serve import ServeError
-
-    if args.sweep:
-        with open(args.sweep) as fh:
-            loaded = json.load(fh)
-        specs = loaded.get("runs") if isinstance(loaded, dict) \
-            else loaded
-        if not isinstance(specs, list) or not specs:
-            print(f"error: {args.sweep} holds no run specs",
-                  file=sys.stderr)
-            return 2
-    elif args.app is None:
-        print("error: pass an APP or --sweep FILE", file=sys.stderr)
-        return 2
-    else:
-        base = {"app": args.app, "procs": args.procs,
-                "quick": args.quick, "verify": args.verify}
-        if args.prefetch:
-            base["prefetch"] = True
-        if args.protocols:
-            specs = [dict(base, protocol=proto)
-                     for proto in args.protocols]
-        else:
-            specs = [dict(base, protocol=args.protocol)]
-
-    client = _serve_client(args)
-    try:
-        if len(specs) == 1 and not args.sweep and not args.protocols:
-            doc = client.submit_run(specs[0])
-        else:
-            doc = client.submit_sweep(specs)
-    except ServeError as exc:
-        print(f"rejected ({exc.status}): "
-              f"{exc.doc.get('error', 'request failed')}",
-              file=sys.stderr)
-        if exc.retry_after is not None:
-            print(f"retry after {exc.retry_after:.2f}s",
-                  file=sys.stderr)
-        return 2
-    _print_job_line(doc)
-    job_id = doc.get("job", {}).get("id", "")
-    if args.wait and job_id:
-        doc = client.wait(job_id)
-        _print_job_line(doc)
-    _write_job_doc(doc, args.json)
-    if args.wait:
-        return 0 if doc.get("job", {}).get("state") == "done" else 1
-    return 0
-
-
-def _cmd_status(args) -> int:
-    from repro.serve import ServeError
-
-    try:
-        doc = _serve_client(args).job(args.job_id)
-    except ServeError as exc:
-        print(f"error ({exc.status}): "
-              f"{exc.doc.get('error', 'request failed')}",
-              file=sys.stderr)
-        return 2
-    _print_job_line(doc)
-    _write_job_doc(doc, args.json)
-    job = doc.get("job", {})
-    if job.get("kind") == "sweep":
-        states = doc.get("result", {}).get("members", {})
-        for member in job.get("members", []):
-            print(f"  {member} state={states.get(member, '?')}")
-    return 0
-
-
-def _cmd_watch_job(args) -> int:
-    from repro.serve import ServeError
-
-    client = _serve_client(args)
-    final_state = None
-    try:
-        for event in client.events(args.job_id):
-            if event.get("kind") == "_end":
-                final_state = event.get("state")
-                break
-            print(json.dumps(event, sort_keys=True))
-    except ServeError as exc:
-        print(f"error ({exc.status}): "
-              f"{exc.doc.get('error', 'request failed')}",
-              file=sys.stderr)
-        return 2
-    print(f"{args.job_id} finished: {final_state}")
-    if args.json:
-        _write_job_doc(client.job(args.job_id), args.json)
-    return 0 if final_state == "done" else 1
-
-
 def _cmd_list(_args) -> int:
     print("applications:", ", ".join(experiments.APP_ORDER))
     print("overlap modes:", ", ".join(m.name for m in ALL_MODES))
@@ -1536,16 +1253,15 @@ def main(argv=None) -> int:
         return _cmd_trace(args)
     if args.command == "validate":
         return _cmd_validate(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "watch-job":
-        return _cmd_watch_job(args)
     return _cmd_list(args)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # The reader went away (``repro trace FILE | head``).  Point
+        # stdout at devnull so the interpreter's exit-time flush does
+        # not raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -35,7 +35,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -49,12 +48,11 @@ from repro.stats.breakdown import Category, TimeBreakdown
 
 __all__ = [
     "SimRequest", "SimResult", "ResultCache", "SweepRunner",
-    "SweepStats", "EvictionPolicy", "code_salt", "default_cache_dir",
-    "execute_request", "CACHE_SCHEMA", "CACHE_INDEX_NAME",
+    "SweepStats", "code_salt", "default_cache_dir", "execute_request",
+    "CACHE_SCHEMA",
 ]
 
 CACHE_SCHEMA = "repro-cache/1"
-CACHE_INDEX_NAME = "index.jsonl"
 
 
 def default_cache_dir() -> str:
@@ -271,77 +269,26 @@ class SimResult:
                 f"{self.n_procs}p {origin}>")
 
 
-@dataclass(frozen=True)
-class EvictionPolicy:
-    """Size/age bounds for :meth:`ResultCache.evict`.
-
-    ``max_bytes`` / ``max_entries`` are the post-eviction budgets
-    (``None`` = unbounded); ``max_age_seconds`` additionally evicts
-    entries idle longer than that regardless of budget.
-    ``floor_seconds`` is the safety floor: an entry used more recently
-    than this is *never* evicted, even if the byte budget cannot be met
-    without it -- a cache under live serve traffic must not evict the
-    entry a coalesced request is about to read.
-    """
-
-    max_bytes: Optional[int] = None
-    max_entries: Optional[int] = None
-    max_age_seconds: Optional[float] = None
-    floor_seconds: float = 60.0
-
-    @property
-    def bounded(self) -> bool:
-        return (self.max_bytes is not None
-                or self.max_entries is not None
-                or self.max_age_seconds is not None)
-
-
 class ResultCache:
     """Content-addressed on-disk store of serialized run results.
 
     Entries are sharded by the first two key hex digits
     (``ab/abcdef....json``) and written via an ``mkstemp`` + atomic
-    ``os.replace``, so concurrent writers -- pool workers, serve
-    executor threads, or two figure invocations racing on the *same*
-    fingerprint -- can never expose a torn entry.  Any unreadable,
-    foreign-schema, or structurally incomplete entry is treated as a
-    miss and recomputed.
-
-    A JSONL journal (``index.jsonl``) records every put/touch/delete so
-    the store's size and LRU order are known without walking millions
-    of shard files; :meth:`evict` applies an :class:`EvictionPolicy`
-    against it.  The journal is advisory: torn lines (a crash mid-
-    append or mid-evict) are skipped on load, and any index/directory
-    disagreement is repaired by :meth:`rebuild_index`, which rescans
-    the shards.  Caches written by older versions -- flat
-    ``<key>.json`` files at the root, no index -- keep hitting: reads
-    fall back to the legacy path and migrate entries into their shard
-    one hit at a time.
+    ``os.replace``, so concurrent writers -- pool workers, or two
+    figure invocations racing on the *same* fingerprint -- can never
+    expose a torn entry.  Any unreadable, foreign-schema, or
+    structurally incomplete entry is treated as a miss and recomputed.
     """
 
     def __init__(self, root: Optional[str] = None):
         self.root = root or default_cache_dir()
-        self._index_lock = threading.Lock()
-
-    # -- paths -------------------------------------------------------------
 
     def path_for(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def legacy_path_for(self, key: str) -> str:
-        """Where the pre-sharding flat layout stored this key."""
-        return os.path.join(self.root, f"{key}.json")
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, CACHE_INDEX_NAME)
-
-    # -- read/write --------------------------------------------------------
-
-    @staticmethod
-    def _load_entry(path: str) -> Optional[dict]:
+    def get(self, key: str) -> Optional[dict]:
         try:
-            with open(path) as fh:
+            with open(self.path_for(key)) as fh:
                 entry = json.load(fh)
         except (OSError, ValueError):
             return None
@@ -351,28 +298,6 @@ class ResultCache:
         doc = entry.get("result")
         if not isinstance(doc, dict) or "execution_cycles" not in doc:
             return None
-        return doc
-
-    def get(self, key: str) -> Optional[dict]:
-        path = self.path_for(key)
-        doc = self._load_entry(path)
-        if doc is not None:
-            self._journal("touch", key)
-            return doc
-        # Legacy flat layout: serve the hit, then migrate the entry into
-        # its shard so old caches re-shard progressively as they are
-        # read rather than in one stop-the-world pass.
-        legacy = self.legacy_path_for(key)
-        doc = self._load_entry(legacy)
-        if doc is None:
-            return None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            os.replace(legacy, path)
-            self._journal("put", key, nbytes=os.path.getsize(path))
-        except OSError:
-            # Migration is best-effort; the flat entry keeps serving.
-            pass
         return doc
 
     def put(self, key: str, doc: dict,
@@ -393,10 +318,8 @@ class ResultCache:
                 dir=os.path.dirname(path))
             with os.fdopen(fd, "w") as fh:
                 json.dump(entry, fh)
-            nbytes = os.path.getsize(tmp)
             os.replace(tmp, path)
             tmp = None
-            self._journal("put", key, nbytes=nbytes)
         except OSError:
             # A read-only or full cache directory must never fail a run.
             if tmp is not None:
@@ -404,203 +327,6 @@ class ResultCache:
                     os.unlink(tmp)
                 except OSError:
                     pass
-
-    def delete(self, key: str) -> bool:
-        """Remove one entry (sharded or legacy); True if a file went."""
-        removed = False
-        for path in (self.path_for(key), self.legacy_path_for(key)):
-            try:
-                os.unlink(path)
-                removed = True
-            except OSError:
-                pass
-        if removed:
-            self._journal("del", key)
-        return removed
-
-    # -- the index journal -------------------------------------------------
-
-    def _journal(self, op: str, key: str,
-                 nbytes: Optional[int] = None) -> None:
-        record = {"op": op, "key": key, "ts": time.time()}
-        if nbytes is not None:
-            record["bytes"] = nbytes
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        try:
-            with self._index_lock:
-                with open(self.index_path, "a") as fh:
-                    fh.write(line)
-        except OSError:
-            pass
-
-    def load_index(self) -> Dict[str, Tuple[int, float]]:
-        """Replay the journal into ``{key: (bytes, last_used_ts)}``.
-
-        Torn lines (crash mid-append) and unknown ops are skipped; a
-        missing journal on a non-empty store means a pre-index cache,
-        which :meth:`rebuild_index` reconstructs from the shards.
-        """
-        entries: Dict[str, Tuple[int, float]] = {}
-        try:
-            fh = open(self.index_path)
-        except OSError:
-            return self.rebuild_index() if self._has_entries() else {}
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a crash
-                if not isinstance(record, dict):
-                    continue
-                op = record.get("op")
-                key = record.get("key")
-                if not isinstance(key, str):
-                    continue
-                ts = record.get("ts", 0.0)
-                if not isinstance(ts, (int, float)):
-                    ts = 0.0
-                if op == "put":
-                    nbytes = record.get("bytes", 0)
-                    entries[key] = (
-                        nbytes if isinstance(nbytes, int) else 0,
-                        float(ts))
-                elif op == "touch" and key in entries:
-                    entries[key] = (entries[key][0], float(ts))
-                elif op == "del":
-                    entries.pop(key, None)
-        return entries
-
-    def _has_entries(self) -> bool:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return False
-        for name in names:
-            if name.endswith(".json") or (
-                    len(name) == 2
-                    and os.path.isdir(os.path.join(self.root, name))):
-                return True
-        return False
-
-    def _scan_files(self):
-        """Yield ``(key, path)`` for every entry file, both layouts."""
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return
-        for name in sorted(names):
-            path = os.path.join(self.root, name)
-            if name.endswith(".json") and os.path.isfile(path):
-                yield name[:-len(".json")], path
-            elif len(name) == 2 and os.path.isdir(path):
-                try:
-                    shard = sorted(os.listdir(path))
-                except OSError:
-                    continue
-                for entry in shard:
-                    if entry.endswith(".json"):
-                        yield entry[:-len(".json")], \
-                            os.path.join(path, entry)
-
-    def rebuild_index(self) -> Dict[str, Tuple[int, float]]:
-        """Rescan the shards and rewrite the journal atomically.
-
-        The recovery path for pre-index caches and for any
-        index/directory disagreement (e.g. a crash between an eviction
-        unlink and its ``del`` record): directory contents win, with
-        file mtimes as last-used stamps.
-        """
-        entries: Dict[str, Tuple[int, float]] = {}
-        for key, path in self._scan_files():
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            entries[key] = (stat.st_size, stat.st_mtime)
-        self._rewrite_index(entries)
-        return entries
-
-    def _rewrite_index(self,
-                       entries: Dict[str, Tuple[int, float]]) -> None:
-        lines = [json.dumps({"op": "put", "key": key, "bytes": nbytes,
-                             "ts": ts}, separators=(",", ":"))
-                 for key, (nbytes, ts) in entries.items()]
-        body = "\n".join(lines) + ("\n" if lines else "")
-        try:
-            with self._index_lock:
-                os.makedirs(self.root, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(prefix=".index.",
-                                           suffix=".tmp", dir=self.root)
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(body)
-                os.replace(tmp, self.index_path)
-        except OSError:
-            pass
-
-    # -- eviction ----------------------------------------------------------
-
-    def evict(self, policy: EvictionPolicy,
-              now: Optional[float] = None) -> dict:
-        """Apply ``policy``, oldest-idle entries first; returns stats.
-
-        Entries idle less than ``policy.floor_seconds`` are never
-        removed, so the returned ``live_bytes`` may exceed
-        ``max_bytes`` when the whole overshoot is recent -- the stats
-        report it rather than violating the floor.
-        """
-        stats = {"scanned": 0, "evicted": 0, "evicted_bytes": 0,
-                 "live": 0, "live_bytes": 0}
-        if not policy.bounded:
-            return stats
-        now = time.time() if now is None else now
-        entries = self.load_index()
-        # An index that disagrees with the directory (crash between an
-        # unlink and its journal record) self-heals here: missing files
-        # drop out before any budget math.
-        verified: Dict[str, Tuple[int, float]] = {}
-        dirty = False
-        for key, (nbytes, ts) in entries.items():
-            if os.path.exists(self.path_for(key)) \
-                    or os.path.exists(self.legacy_path_for(key)):
-                verified[key] = (nbytes, ts)
-            else:
-                dirty = True
-        entries = verified
-        stats["scanned"] = len(entries)
-        by_idle = sorted(entries.items(), key=lambda item: item[1][1])
-        total_bytes = sum(nbytes for nbytes, _ in entries.values())
-        total = len(entries)
-        for key, (nbytes, ts) in by_idle:
-            age = now - ts
-            if age < policy.floor_seconds:
-                continue
-            over_bytes = (policy.max_bytes is not None
-                          and total_bytes > policy.max_bytes)
-            over_count = (policy.max_entries is not None
-                          and total > policy.max_entries)
-            too_old = (policy.max_age_seconds is not None
-                       and age > policy.max_age_seconds)
-            if not (over_bytes or over_count or too_old):
-                if policy.max_age_seconds is None:
-                    break  # sorted by idle time: the rest is newer
-                continue
-            self.delete(key)
-            entries.pop(key, None)
-            dirty = True
-            total_bytes -= nbytes
-            total -= 1
-            stats["evicted"] += 1
-            stats["evicted_bytes"] += nbytes
-        stats["live"] = total
-        stats["live_bytes"] = total_bytes
-        if dirty:
-            # Compact: replay-from-journal and directory now agree.
-            self._rewrite_index(entries)
-        return stats
 
 
 @dataclass

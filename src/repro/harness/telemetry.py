@@ -34,8 +34,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "SWEEP_LOG_SCHEMA", "TelemetryBus", "SweepLogWriter", "LiveRenderer",
-    "AsyncBridge", "bus", "publish", "read_sweep_log",
-    "sweep_log_duration", "sweep_log_summary", "measure_telemetry_tax",
+    "bus", "publish", "read_sweep_log", "sweep_log_duration",
+    "sweep_log_summary", "measure_telemetry_tax",
 ]
 
 SWEEP_LOG_SCHEMA = "repro-sweep-log/1"
@@ -98,77 +98,6 @@ def bus() -> TelemetryBus:
 def publish(kind: str, **fields: Any) -> None:
     """Publish to the default bus (no-op without subscribers)."""
     _BUS.publish(kind, **fields)
-
-
-class AsyncBridge:
-    """Bridge bus events into ``asyncio`` queues for streaming servers.
-
-    The bus is synchronous and may be published from any thread (the
-    serve job manager publishes from executor callbacks); an event-loop
-    consumer cannot subscribe a plain callback without racing the loop.
-    The bridge is that adapter: it subscribes itself to a
-    :class:`TelemetryBus`, hops every event onto the owning loop with
-    ``call_soon_threadsafe``, and fans it out to per-consumer
-    ``asyncio.Queue`` instances (one per open event stream).
-
-    Queues are bounded; a consumer that stops draining (a stalled HTTP
-    client) loses its *oldest* events rather than blocking the bus or
-    growing without bound -- the stream stays live, which is what a
-    progress watcher wants.  ``dropped`` counts those losses.
-    """
-
-    def __init__(self, loop, bus: Optional[TelemetryBus] = None,
-                 maxsize: int = 1024):
-        import asyncio
-
-        self._asyncio = asyncio
-        self._loop = loop
-        self._bus = bus if bus is not None else _BUS
-        self._queues: List = []
-        self._maxsize = maxsize
-        self.dropped = 0
-        self.closed = False
-        self._bus.subscribe(self)
-
-    def __call__(self, event: Dict[str, Any]) -> None:
-        if self.closed:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._dispatch, event)
-        except RuntimeError:
-            pass  # loop already closed mid-shutdown
-
-    def _dispatch(self, event: Dict[str, Any]) -> None:
-        for queue in list(self._queues):
-            if queue.full():
-                try:
-                    queue.get_nowait()
-                    self.dropped += 1
-                except self._asyncio.QueueEmpty:  # pragma: no cover
-                    pass
-            queue.put_nowait(event)
-
-    def stream(self):
-        """A new bounded queue receiving every subsequent bus event.
-
-        Call from the owning loop; detach with :meth:`unstream` when
-        the consumer disconnects.
-        """
-        queue = self._asyncio.Queue(maxsize=self._maxsize)
-        self._queues.append(queue)
-        return queue
-
-    def unstream(self, queue) -> None:
-        try:
-            self._queues.remove(queue)
-        except ValueError:
-            pass
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self._bus.unsubscribe(self)
-            self._queues.clear()
 
 
 class SweepLogWriter:

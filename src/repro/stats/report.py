@@ -200,14 +200,11 @@ class RunReport:
 # repro-regress/1 the regression-gate verdict (`repro regress`);
 # repro-inspect/1 the per-page coherence-audit document
 # (`repro inspect`).
-# repro-serve/1 is the job document the `repro serve` API returns
-# (and `repro submit/status` write with --json).
 # (The repro-sweep-log/1 JSONL stream is validated by its own reader,
 # repro.harness.telemetry.read_sweep_log -- it is not a JSON document.)
 KNOWN_SCHEMAS = ("repro-run-report/1", "repro-run-report/2",
                  "repro-bench/1", "repro-chaos/1", "repro-diff/1",
-                 "repro-regress/1", "repro-inspect/1",
-                 "repro-serve/1")
+                 "repro-regress/1", "repro-inspect/1")
 
 # Top-level keys that must be present per schema.
 _REQUIRED_KEYS = {
@@ -218,7 +215,6 @@ _REQUIRED_KEYS = {
     "repro-diff/1": ("a", "b", "execution_cycles", "identical"),
     "repro-regress/1": ("rows", "ok", "exit_code"),
     "repro-inspect/1": ("run", "pages", "audit", "state"),
-    "repro-serve/1": ("job",),
 }
 
 
@@ -295,29 +291,6 @@ def validate_report(doc) -> List[str]:
         if "error" not in doc and "candidate" not in doc:
             problems.append("missing 'candidate' (or 'error' for an "
                             "unusable-input verdict)")
-    elif schema == "repro-serve/1":
-        job = doc.get("job")
-        if job is not None:
-            if not isinstance(job, dict):
-                problems.append("'job' must be an object")
-            else:
-                for key in ("id", "kind", "state", "tenant"):
-                    if key not in job:
-                        problems.append(
-                            f"'job' missing key {key!r}")
-                if job.get("kind") == "sweep" \
-                        and not isinstance(job.get("members"), list):
-                    problems.append(
-                        "sweep job missing 'members' list")
-                state = job.get("state")
-                known_states = ("queued", "running", "done", "failed",
-                                "cancelled", "timeout")
-                if state is not None and state not in known_states:
-                    problems.append(
-                        f"unknown job state {state!r} (known: "
-                        f"{', '.join(known_states)})")
-        if "result" in doc and not isinstance(doc["result"], dict):
-            problems.append("'result' must be an object")
     elif schema == "repro-inspect/1":
         run = doc.get("run")
         if run is not None and not isinstance(run, dict):

@@ -333,3 +333,44 @@ def test_run_trace_flushed_on_abort(tmp_path, monkeypatch, capsys):
     meta = load_trace_meta(trace_file)
     assert meta["events"] == 1
     assert meta["aborted"] == "RuntimeError: simulated crash"
+
+
+@pytest.mark.parametrize("command", ["run", "profile", "analyze",
+                                     "inspect"])
+def test_unknown_protocol_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "Em3d", "--protocol", "Bogus", "--quick"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "unknown protocol 'Bogus'" in err
+    assert "Base, I, I+D, P, I+P, I+P+D or aurc" in err
+
+
+def test_trace_into_closed_pipe_exits_quietly(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    trace_file = str(tmp_path / "trace.json")
+    assert main(["run", "Em3d", "--protocol", "I+D", "--procs", "4",
+                 "--quick", "--no-verify", "--trace", trace_file]) == 0
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # A pipe whose reader has already gone, as after `| head -1` exits.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", trace_file,
+             "--limit", "100000"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert proc.returncode == 1

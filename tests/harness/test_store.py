@@ -1,24 +1,14 @@
-"""The result store's index journal, eviction, and migration paths.
+"""The result store's on-disk layout and concurrent-writer safety.
 
-Covers the serving-layer store contract: the JSONL index journal stays
-consistent with the shard directories through eviction, crashes that
-tear a journal line or strand an unlink, concurrent same-fingerprint
-writers, and caches laid out by older (flat, pre-index) versions.
+Entries land in two-hex-digit shard directories, and many threads
+writing one fingerprint never publish a torn entry or strand a temp
+file.
 """
 
-import json
 import os
 import threading
-import time
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.harness.parallel import (
-    CACHE_SCHEMA,
-    EvictionPolicy,
-    ResultCache,
-)
+from repro.harness.parallel import ResultCache
 
 
 def _doc(i=0):
@@ -31,16 +21,7 @@ def _key(i):
     return f"{i:064x}"
 
 
-def _fill(cache, n, start=0):
-    for i in range(start, start + n):
-        cache.put(_key(i), _doc(i))
-
-
-def _scan_keys(cache):
-    return {key for key, _path in cache._scan_files()}
-
-
-# -- layout and migration --------------------------------------------------
+# -- layout ----------------------------------------------------------------
 
 def test_put_writes_sharded_layout(tmp_path):
     cache = ResultCache(str(tmp_path))
@@ -49,59 +30,6 @@ def test_put_writes_sharded_layout(tmp_path):
     assert os.path.exists(tmp_path / "ab" / f"{key}.json")
     assert not os.path.exists(tmp_path / f"{key}.json")
     assert cache.get(key) == _doc()
-
-
-def test_legacy_flat_entry_hits_and_migrates(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    key = _key(7)
-    entry = {"schema": CACHE_SCHEMA, "key": key, "result": _doc(7)}
-    with open(tmp_path / f"{key}.json", "w") as fh:
-        json.dump(entry, fh)
-
-    # The flat entry serves the hit, then lands in its shard.
-    assert cache.get(key) == _doc(7)
-    assert os.path.exists(tmp_path / key[:2] / f"{key}.json")
-    assert not os.path.exists(tmp_path / f"{key}.json")
-    # ...and the migration was journaled.
-    assert key in cache.load_index()
-    # Subsequent reads hit the sharded copy.
-    assert cache.get(key) == _doc(7)
-
-
-def test_legacy_cache_resharded_progressively(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    keys = [_key(i) for i in range(20)]
-    for i, key in enumerate(keys):
-        entry = {"schema": CACHE_SCHEMA, "key": key,
-                 "result": _doc(i)}
-        with open(tmp_path / f"{key}.json", "w") as fh:
-            json.dump(entry, fh)
-
-    # Read half: only those migrate; the rest stay flat but readable.
-    for key in keys[:10]:
-        assert cache.get(key) is not None
-    flat = {name for name in os.listdir(tmp_path)
-            if name.endswith(".json")}
-    assert flat == {f"{key}.json" for key in keys[10:]}
-    for key in keys[10:]:
-        assert cache.get(key) is not None
-    assert not any(name.endswith(".json")
-                   for name in os.listdir(tmp_path))
-    assert _scan_keys(cache) == set(keys)
-
-
-def test_index_rebuilt_by_scan_when_missing(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    _fill(cache, 5)
-    os.unlink(cache.index_path)
-
-    index = cache.load_index()
-    assert set(index) == {_key(i) for i in range(5)}
-    # The rebuild also rewrote the journal on disk.
-    assert os.path.exists(cache.index_path)
-    sizes = {key: nbytes for key, (nbytes, _ts) in index.items()}
-    for key, nbytes in sizes.items():
-        assert nbytes == os.path.getsize(cache.path_for(key))
 
 
 # -- concurrent writers ----------------------------------------------------
@@ -140,137 +68,3 @@ def test_same_fingerprint_thread_hammer(tmp_path):
     shard = tmp_path / key[:2]
     assert [name for name in os.listdir(shard)
             if name.endswith(".tmp")] == []
-    assert set(cache.load_index()) == {key}
-
-
-# -- eviction --------------------------------------------------------------
-
-def test_evict_10k_entries_to_byte_budget(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    _fill(cache, 10_000)
-    index = cache.load_index()
-    assert len(index) == 10_000
-    entry_bytes = index[_key(0)][0]
-    budget = entry_bytes * 1000   # keep ~1000 of 10k
-
-    stats = cache.evict(
-        EvictionPolicy(max_bytes=budget, floor_seconds=0.0),
-        now=time.time() + 3600)
-
-    assert stats["scanned"] == 10_000
-    assert stats["evicted"] + stats["live"] == 10_000
-    assert stats["live_bytes"] <= budget
-    # Index and directory agree exactly after the evict compaction.
-    survivors = set(cache.load_index())
-    assert _scan_keys(cache) == survivors
-    assert len(survivors) == stats["live"]
-    # Oldest-first: the survivors are the most recently written keys.
-    assert survivors == {_key(i) for i in
-                         range(10_000 - stats["live"], 10_000)}
-
-
-def test_evict_respects_floor_even_over_budget(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    _fill(cache, 10)
-
-    # Everything was written "just now": with a 1h floor, a zero-byte
-    # budget must evict nothing and report the overshoot instead.
-    stats = cache.evict(EvictionPolicy(max_bytes=0,
-                                       floor_seconds=3600.0))
-    assert stats["evicted"] == 0
-    assert stats["live"] == 10
-    assert stats["live_bytes"] > 0
-    assert _scan_keys(cache) == {_key(i) for i in range(10)}
-
-
-@settings(max_examples=25, deadline=None)
-@given(ages=st.lists(st.floats(min_value=0.0, max_value=1000.0),
-                     min_size=1, max_size=12),
-       max_entries=st.integers(min_value=0, max_value=12),
-       floor=st.floats(min_value=0.0, max_value=1000.0))
-def test_evict_never_removes_entry_newer_than_floor(
-        tmp_path_factory, ages, max_entries, floor):
-    """Property: whatever the budget, entries idle < floor survive."""
-    root = tmp_path_factory.mktemp("store")
-    cache = ResultCache(str(root))
-    now = 2_000_000.0
-    entries = {}
-    for i in range(len(ages)):
-        cache.put(_key(i), _doc(i))
-        entries[_key(i)] = (os.path.getsize(cache.path_for(_key(i))),
-                            now - ages[i])
-    # Rewrite the journal with controlled last-used stamps.
-    cache._rewrite_index(entries)
-
-    cache.evict(EvictionPolicy(max_entries=max_entries,
-                               floor_seconds=floor), now=now)
-
-    survivors = _scan_keys(cache)
-    protected = {_key(i) for i, age in enumerate(ages) if age < floor}
-    assert protected <= survivors
-    # Nothing below the budget was evicted needlessly.
-    assert len(survivors) >= min(len(ages), max_entries)
-    assert set(cache.load_index()) == survivors
-
-
-def test_torn_index_line_and_stranded_unlink_self_heal(tmp_path):
-    """Crash-mid-evict recovery: a partial journal line is skipped and
-    a file unlinked without its ``del`` record drops out on the next
-    eviction pass, after which index and directory agree."""
-    cache = ResultCache(str(tmp_path))
-    _fill(cache, 6)
-
-    # Crash artifact 1: a torn trailing journal line.
-    with open(cache.index_path, "a") as fh:
-        fh.write('{"op": "put", "key": "deadbeef", "byt')
-    # Crash artifact 2: an unlink that never journaled its del.
-    os.unlink(cache.path_for(_key(3)))
-
-    index = cache.load_index()
-    assert "deadbeef" not in index          # torn line skipped
-    assert _key(3) in index                 # stale until verified
-
-    stats = cache.evict(
-        EvictionPolicy(max_entries=100, floor_seconds=0.0),
-        now=time.time() + 3600)
-    assert stats["scanned"] == 5            # stale entry verified out
-    assert stats["evicted"] == 0
-    survivors = {_key(i) for i in range(6)} - {_key(3)}
-    assert set(cache.load_index()) == survivors
-    assert _scan_keys(cache) == survivors
-    # The compaction rewrote a fully-parseable journal.
-    with open(cache.index_path) as fh:
-        for line in fh:
-            json.loads(line)
-
-
-def test_max_age_evicts_idle_entries_only(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    now = 2_000_000.0
-    entries = {}
-    for i in range(6):
-        cache.put(_key(i), _doc(i))
-        # Even keys idle 500s, odd keys idle 5s.
-        entries[_key(i)] = (
-            os.path.getsize(cache.path_for(_key(i))),
-            now - (500.0 if i % 2 == 0 else 5.0))
-    cache._rewrite_index(entries)
-
-    stats = cache.evict(EvictionPolicy(max_age_seconds=60.0,
-                                       floor_seconds=0.0), now=now)
-    assert stats["evicted"] == 3
-    assert _scan_keys(cache) == {_key(i) for i in (1, 3, 5)}
-
-
-def test_delete_removes_both_layouts(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    key = _key(9)
-    cache.put(key, _doc())
-    entry = {"schema": CACHE_SCHEMA, "key": key, "result": _doc()}
-    with open(tmp_path / f"{key}.json", "w") as fh:
-        json.dump(entry, fh)
-
-    assert cache.delete(key)
-    assert cache.get(key) is None
-    assert key not in cache.load_index()
-    assert not cache.delete(key)
